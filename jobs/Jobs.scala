@@ -93,11 +93,9 @@ object RunForecast {
     val task = repro.core.TaskParser.parse(args(0))
     val rate = if (args.length > 1) args(1).toDouble else 0.05
     val store = new repro.core.SampleStore
-    val delta = repro.sampling.GSW.deltaForRate(
-      df, org.apache.spark.sql.functions.col(task.measure), rate)
     val layer = store.add(f"$rate%.3f",
-      repro.sampling.GSW.optimal(delta, task.measure), df)
-    val res = repro.core.FlashP.runOnSample(task, layer)
+      repro.sampling.GSW.optimal(1.0, task.measure).atRate(df, rate), df)
+    val res = repro.core.FlashP.run(task, store)
     println(s"task: ${task.sql}")
     println(s"sample rows: ${layer.rows} (rate ≈ $rate)")
     println(s"agg: ${res.aggMillis} ms, forecast: ${res.forecastMillis} ms")

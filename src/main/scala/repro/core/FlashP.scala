@@ -14,14 +14,22 @@ import repro.sampling.Sampler
   * @param rows    materialized sample row count (space cost)
   */
 final case class StoredSample(layer: String, sampler: Sampler, df: DataFrame, rows: Long)
+    extends SeriesSource {
+  override def spaceRows: Long = rows
+  override def series(task: ForecastTask): Array[Double] = Estimator.estimateSeries(df, task)
+  override def close(): Unit = df.unpersist()
+}
 
 /** Multi-layer sample store (§3.2, §5): FlashP keeps samples of several
   * sizes (increasing Δ) per relation and picks a layer per the caller's
   * latency/accuracy requirement. Adding a layer runs the offline sampler,
   * caches the result in memory and materializes it — after that, online
   * queries never touch the base table.
+  *
+  * As a [[SeriesSource]] the store answers a task from the first layer that
+  * carries the task's measure, and its space cost is that of all layers.
   */
-final class SampleStore {
+final class SampleStore extends SeriesSource {
   private var layers: Vector[StoredSample] = Vector.empty
 
   /** Draw, cache and register a layer. */
@@ -39,7 +47,19 @@ final class SampleStore {
 
   def all: Seq[StoredSample] = layers
 
-  def clear(): Unit = { layers.foreach(_.df.unpersist()); layers = Vector.empty }
+  def clear(): Unit = { layers.foreach(_.close()); layers = Vector.empty }
+
+  override def spaceRows: Long = layers.map(_.rows).sum
+
+  override def series(task: ForecastTask): Array[Double] = {
+    val layer = layers.find(_.sampler.measures.contains(task.measure)).getOrElse(
+      throw new NoSuchElementException(
+        s"no sample layer carries measure '${task.measure}'; have " +
+          layers.map(l => s"${l.layer} (${l.sampler.measures.mkString(", ")})").mkString(", ")))
+    layer.series(task)
+  }
+
+  override def close(): Unit = clear()
 }
 
 /** One processed forecasting task, with the phase timings the paper's
@@ -48,12 +68,10 @@ final class SampleStore {
   */
 final case class PipelineResult(task: ForecastTask, series: Array[Double],
                                 forecast: Forecast, aggMillis: Long,
-                                forecastMillis: Long) {
-  def totalMillis: Long = aggMillis + forecastMillis
-}
+                                forecastMillis: Long)
 
-/** End-to-end FlashP pipeline (§2.2, §5): estimate the training series from
-  * a sample (or compute it exactly from the full table), then fit the
+/** End-to-end FlashP pipeline (§2.2, §5): get the training series from a
+  * [[SeriesSource]] (a sample, the full table or PIM), then fit the
   * requested forecasting model and predict `FORE_PERIOD` points.
   */
 object FlashP {
@@ -68,22 +86,18 @@ object FlashP {
 
   /** Process a task against a stored sample layer. */
   def runOnSample(task: ForecastTask, sample: StoredSample,
-                  level: Double = 0.9): PipelineResult =
-    run(task, Estimator.estimateSeries(sample.df, task, _), level)
+                  level: Double = 0.9): PipelineResult = run(task, sample, level)
 
   /** Process a task by scanning the full relation ("Full" in Table 1). */
   def runOnFull(task: ForecastTask, full: DataFrame,
-                level: Double = 0.9): PipelineResult =
-    run(task, Estimator.exactSeries(full, task, _), level)
+                level: Double = 0.9): PipelineResult = run(task, FullScan(full), level)
 
-  /** Process a task with PIM estimates (baseline [8]). */
-  def runOnPim(task: ForecastTask, pim: PIM, level: Double = 0.9): PipelineResult =
-    run(task, _ => pim.estimateSeries(task), level)
-
-  private def run(task: ForecastTask, seriesOf: String => Array[Double],
-                  level: Double): PipelineResult = {
+  /** Process a task: take its training series from `source`, then fit the
+    * task's model and forecast at interval `level`.
+    */
+  def run(task: ForecastTask, source: SeriesSource, level: Double = 0.9): PipelineResult = {
     val t0 = System.nanoTime()
-    val series = seriesOf("t")
+    val series = source.series(task)
     val t1 = System.nanoTime()
     val forecast = forecasterFor(task.model).fitForecast(series, task.forePeriod, level)
     val t2 = System.nanoTime()

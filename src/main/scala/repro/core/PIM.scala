@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.NumericType
+import repro.data.AdSchema.TimeCol
 
 /** PIM (Partwise Independence Model) baseline, after Agarwal et al.,
   * "Forecasting high-dimensional data" (SIGMOD 2010) [8] — the Bayesian
@@ -25,15 +27,14 @@ import org.apache.spark.sql.functions._
   * @param full     the full relation
   * @param measures measures to support
   * @param dims     dimensions the cube covers (constraints must use these)
-  * @param timeCol  day column
   */
-final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
-                timeCol: String = "t") {
+final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String])
+    extends SeriesSource {
 
   /** (measure, day) -> day total. */
   private val totals: Map[(String, Int), Double] = {
     val aggs = measures.map(m => sum(col(m).cast("double")) as m)
-    val rows = full.groupBy(col(timeCol))
+    val rows = full.groupBy(col(TimeCol))
       .agg(aggs.head, aggs.tail: _*)
       .collect()
     (for {
@@ -46,7 +47,7 @@ final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
   private val marginals: Map[String, Map[(Int, String, String), Double]] =
     dims.map { d =>
       val aggs = measures.map(m => sum(col(m).cast("double")) as m)
-      val rows = full.groupBy(col(timeCol), col(d).cast("string") as "v")
+      val rows = full.groupBy(col(TimeCol), col(d).cast("string") as "v")
         .agg(aggs.head, aggs.tail: _*)
         .collect()
       d -> (for {
@@ -54,6 +55,10 @@ final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
         (m, i) <- measures.zipWithIndex
       } yield (r.getInt(0), r.getString(1), m) -> r.getDouble(i + 2)).toMap
     }.toMap
+
+  /** Dimensions whose values compare as numbers, as Catalyst compares them. */
+  private val numericDims: Set[String] =
+    dims.filter(d => full.schema(d).dataType.isInstanceOf[NumericType]).toSet
 
   /** Distinct values seen per dimension (for predicate evaluation). */
   private val domains: Map[String, Seq[String]] =
@@ -67,7 +72,7 @@ final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
     byDim.foldLeft(total) { case (acc, (dim, preds)) =>
       require(marginals.contains(dim), s"PIM cube does not cover dimension '$dim'")
       val mass = domains(dim).iterator
-        .filter(v => preds.forall(_.matches(v)))
+        .filter(v => preds.forall(_.matches(v, numericDims(dim))))
         .map(v => marginals(dim).getOrElse((day, v, measure), 0.0))
         .sum
       acc * (mass / total)
@@ -77,6 +82,10 @@ final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
   /** Estimated daily series for a task, PIM-style. */
   def estimateSeries(task: ForecastTask): Array[Double] =
     Array.tabulate(task.trainingDays)(i => estimate(task.constraint, task.measure, task.ts + i))
+
+  override def series(task: ForecastTask): Array[Double] = estimateSeries(task)
+
+  override def spaceRows: Long = cubeRows
 
   /** Rows the cube stores — PIM's space cost, reported in benches. */
   def cubeRows: Long =

@@ -26,16 +26,16 @@ final case class Pred(dim: String, op: String, literal: String, isString: Boolea
   def column: Column = expr(sql)
 
   /** Evaluate against a single dimension value (as delivered by a collected
-    * PIM cube row). Numeric comparison when both sides parse as numbers.
+    * PIM cube row), with Catalyst's comparison rule: numeric when the
+    * dimension is numeric or the literal is a bare number (a quoted literal
+    * on a numeric dimension is cast, so `city <= '5'` means `city <= 5`),
+    * and as strings otherwise.
     */
-  def matches(value: String): Boolean = {
-    val cmp: Int =
-      if (!isString) {
-        (value.toDoubleOption, literal.toDoubleOption) match {
-          case (Some(a), Some(b)) => java.lang.Double.compare(a, b)
-          case _                  => value.compareTo(literal)
-        }
-      } else value.compareTo(literal)
+  def matches(value: String, numericDim: Boolean = false): Boolean = {
+    val cmp: Int = (value.toDoubleOption, literal.toDoubleOption) match {
+      case (Some(a), Some(b)) if numericDim || !isString => java.lang.Double.compare(a, b)
+      case _                                             => value.compareTo(literal)
+    }
     op match {
       case "="  => cmp == 0
       case "<>" => cmp != 0

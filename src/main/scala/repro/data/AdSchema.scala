@@ -27,13 +27,4 @@ object AdSchema {
     * Spark and the DuckDB oracle.
     */
   val Measures: Seq[String] = Seq("favorite", "impression", "click", "cart")
-
-  /** Paper-correlated grouping used by compressed GSW benches: Impression
-    * and Click share a trend, as do Favorite and Cart (see
-    * [[repro.SynthData.adTraffic]] for how that correlation is generated).
-    */
-  val CorrelatedGroups: Seq[Seq[String]] = Seq(
-    Seq("impression", "click"),
-    Seq("favorite", "cart"),
-  )
 }

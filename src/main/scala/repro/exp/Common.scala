@@ -1,13 +1,11 @@
 package repro.exp
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.SynthData
 import repro.core._
-import repro.data.AdSchema
 import repro.forecast.{ArimaForecaster, Forecaster, LstmForecaster}
-import repro.sampling._
+import repro.sampling.Sampler
 
 /** Shared scaffolding for the evaluation-section experiments (§6).
   *
@@ -44,15 +42,6 @@ final case class BenchConfig(
   def equivRate(paperRate: Double): Double = math.min(0.5, paperRate / sf)
 }
 
-/** A named series source: how one method (Full / PIM / a sampler layer)
-  * produces the training series for a task. `spaceRows` is the storage the
-  * method needs online (sample rows, or PIM cube rows; 0 ⇒ full data).
-  * `close()` releases any cached sample DataFrames the method holds.
-  */
-final case class SeriesMethod(name: String, spaceRows: Long,
-                              estimate: ForecastTask => Array[Double],
-                              close: () => Unit = () => ())
-
 object Harness {
 
   /** Generate + cache the bench relation. */
@@ -63,90 +52,13 @@ object Harness {
     df
   }
 
-  /** The exact-scan method ("Full" in Table 1). */
-  def fullMethod(df: DataFrame): SeriesMethod =
-    SeriesMethod("Full", 0L, task => Estimator.exactSeries(df, task))
-
-  /** The PIM baseline (cube over all dimensions). */
-  def pimMethod(df: DataFrame): SeriesMethod = {
-    val pim = new PIM(df, AdSchema.Measures, AdSchema.Dimensions)
-    SeriesMethod("PIM", pim.cubeRows, task => pim.estimateSeries(task))
-  }
-
-  /** A uniform-sample method at `rate` (serves all measures from 1 sample). */
-  def uniformMethod(df: DataFrame, rate: Double, seed: Long = 104717): SeriesMethod = {
-    val s = Uniform(rate, AdSchema.Measures, seed).sample(df)
-      .persist(StorageLevel.MEMORY_ONLY)
-    SeriesMethod(s"Uniform", s.count(), task => Estimator.estimateSeries(s, task),
-      () => { s.unpersist(); () })
-  }
-
-  /** One optimal GSW sample PER measure at ≈`rate` each (the space-hungry
-    * configuration Exp-V quantifies). Dispatches on the task's measure.
+  /** A sample store with one layer per sampler, each named after its
+    * sampler; it answers a task from the layer that carries its measure.
     */
-  def optGswMethod(df: DataFrame, rate: Double, seed: Long = 104729,
-                   measures: Seq[String] = AdSchema.Measures): SeriesMethod = {
-    val perMeasure = measures.map { m =>
-      val delta = GSW.deltaForRate(df, col(m), rate)
-      val s = GSW.optimal(delta, m, seed).sample(df).persist(StorageLevel.MEMORY_ONLY)
-      m -> s
-    }.toMap
-    val rows = perMeasure.valuesIterator.map(_.count()).sum
-    SeriesMethod("Opt-GSW", rows,
-      task => Estimator.estimateSeries(perMeasure(task.measure), task),
-      () => perMeasure.valuesIterator.foreach(_.unpersist()))
-  }
-
-  /** One priority sample PER measure with per-day k ≈ rate × rows/day. */
-  def priorityMethod(df: DataFrame, rate: Double, rowsPerDay: Long,
-                     seed: Long = 104723,
-                     measures: Seq[String] = AdSchema.Measures): SeriesMethod = {
-    val k = math.max(2, (rate * rowsPerDay).round.toInt)
-    val perMeasure = measures.map { m =>
-      m -> Priority(k, m, "t", seed).sample(df).persist(StorageLevel.MEMORY_ONLY)
-    }.toMap
-    val rows = perMeasure.valuesIterator.map(_.count()).sum
-    SeriesMethod("Priority", rows,
-      task => Estimator.estimateSeries(perMeasure(task.measure), task),
-      () => perMeasure.valuesIterator.foreach(_.unpersist()))
-  }
-
-  /** ONE arithmetic compressed GSW sample serving all `measures`. */
-  def cGswMethod(df: DataFrame, rate: Double, seed: Long = 104729,
-                 measures: Seq[String] = AdSchema.Measures): SeriesMethod = {
-    val weight = measures.map(col).reduce(_ + _) / measures.size
-    val delta = GSW.deltaForRate(df, weight, rate)
-    val s = GSW.arithmetic(delta, measures, seed).sample(df)
-      .persist(StorageLevel.MEMORY_ONLY)
-    SeriesMethod("C-GSW", s.count(), task => Estimator.estimateSeries(s, task),
-      () => { s.unpersist(); () })
-  }
-
-  /** ONE geometric compressed GSW sample serving all `measures`. */
-  def gGswMethod(df: DataFrame, rate: Double, seed: Long = 104729,
-                 measures: Seq[String] = AdSchema.Measures): SeriesMethod = {
-    val weight = exp(measures.map(m => log(col(m))).reduce(_ + _) / measures.size)
-    val delta = GSW.deltaForRate(df, weight, rate)
-    val s = GSW.geometric(delta, measures, seed).sample(df)
-      .persist(StorageLevel.MEMORY_ONLY)
-    SeriesMethod("G-GSW", s.count(), task => Estimator.estimateSeries(s, task),
-      () => { s.unpersist(); () })
-  }
-
-  /** Evaluate one method on one task: aggregation error, forecast error and
-    * relative interval width under the given forecaster.
-    */
-  final case class Eval(aggErr: Double, fcErr: Double, intervalWidth: Double)
-
-  def evaluate(method: SeriesMethod, task: ForecastTask,
-               exact: Array[Double], truth: Array[Double],
-               forecaster: Forecaster, level: Double = 0.9): Eval = {
-    val est = method.estimate(task)
-    val fc = forecaster.fitForecast(est, task.forePeriod, level)
-    Eval(
-      aggErr = Metrics.relAggError(est, exact),
-      fcErr = Metrics.relForecastError(fc.point, truth),
-      intervalWidth = Metrics.relIntervalWidth(fc, truth))
+  def store(df: DataFrame, samplers: Seq[Sampler]): SampleStore = {
+    val store = new SampleStore
+    samplers.foreach(s => store.add(s.name, s, df))
+    store
   }
 
   def arima: Forecaster = ArimaForecaster()

@@ -1,8 +1,10 @@
 package repro.exp
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.DataFrame
-import repro.core.TaskGen
+import repro.core.{FullScan, SeriesSource, TaskGen}
 import repro.forecast.Forecaster
+import repro.sampling.GSW
 
 /** Exp-II / Figure 8: end-to-end response time, split into the aggregation
   * portion and the forecasting portion, for the full scan vs sample layers
@@ -40,26 +42,29 @@ object Exp2 {
     df.write.mode("overwrite").parquet(warehouse)
     val fullOnDisk = df.sparkSession.read.parquet(warehouse)
 
-    val layers: Seq[(String, SeriesMethod)] =
-      ("Full(100%)" -> Harness.fullMethod(fullOnDisk)) +:
+    val layers: Seq[(String, SeriesSource)] =
+      ("Full(100%)" -> FullScan(fullOnDisk)) +:
         Seq(0.0002, 0.001, 0.01).map { paperRate =>
           val r = cfg.scaledRate(paperRate)
           f"sample(paper ${paperRate * 100}%.2f%% -> ${r * 100}%.1f%%)" ->
-            Harness.optGswMethod(df, r, measures = Seq("impression"))
+            Harness.store(df, Seq(GSW.optimal(1.0, "impression").atRate(df, r)))
         }
 
     def bestOf3(f: Forecaster, series: Array[Double]): Long =
       (1 to 3).map(_ => timeMs(f.fitForecast(series, cfg.horizon, 0.9))._2).min
 
-    val rows = layers.map { case (label, method) =>
+    val rows = try layers.map { case (label, source) =>
       // Warm once (plan compilation), then take the best of 3 like the
       // paper's interactive-latency measurements.
-      method.estimate(task)
-      val aggMs = (1 to 3).map(_ => timeMs(method.estimate(task))._2).min
-      val series = method.estimate(task)
-      Row(label, method.spaceRows, aggMs,
+      source.series(task)
+      val aggMs = (1 to 3).map(_ => timeMs(source.series(task))._2).min
+      val series = source.series(task)
+      Row(label, source.spaceRows, aggMs,
         arimaMs = bestOf3(Harness.arima, series),
         lstmMs = bestOf3(Harness.lstm, series))
+    } finally {
+      layers.foreach(_._2.close())
+      FileUtils.deleteDirectory(new java.io.File(warehouse))
     }
 
     val rendered = Harness.renderTable(

@@ -1,7 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import repro.core.TaskGen
+import repro.core.{Metrics, TaskGen}
+import repro.sampling.GSW
 
 /** Exp-III / Figure 9: forecast error vs number of time stamps (days) used
   * to fit the model, for Opt-GSW at several sampling rates, selectivity
@@ -25,27 +26,26 @@ object Exp3 {
     val paperRates = Seq(0.001, 0.01)
     val trainLens = Seq(30, 60, 90, 120, cfg.trainDays).filter(_ <= cfg.trainDays).distinct
 
-    val methods = paperRates.map { pr =>
-      pr -> Harness.optGswMethod(df, cfg.scaledRate(pr), measures = Seq("impression"))
+    val sources = paperRates.map { pr =>
+      pr -> Harness.store(df, Seq(GSW.optimal(1.0, "impression").atRate(df, cfg.scaledRate(pr))))
     }
 
-    val rows = for {
+    val rows = try for {
       len <- trainLens
-      (pr, method) <- methods
+      (pr, source) <- sources
     } yield {
       // Shrink the window from the left so every row forecasts the same
       // 7 future days (as in the paper, which always predicts "the next 7").
       val tasks = baseTasks.map(t => t.copy(ts = te - len + 1))
       val (ae, le) = tasks.map { t =>
         val truth = cache.truth(t)
-        val est = method.estimate(t)
+        val est = source.series(t)
         val a = Harness.arima.fitForecast(est, cfg.horizon, 0.9)
         val l = Harness.lstm.fitForecast(est, cfg.horizon, 0.9)
-        (repro.core.Metrics.relForecastError(a.point, truth),
-          repro.core.Metrics.relForecastError(l.point, truth))
+        (Metrics.relAggError(a.point, truth), Metrics.relAggError(l.point, truth))
       }.unzip
       Row(len, pr, ae.sum / ae.size, le.sum / le.size)
-    }
+    } finally sources.foreach(_._2.close())
 
     val rendered = Harness.renderTable(
       "Exp-III (Fig 9): forecast error vs training days (Opt-GSW, selectivity 5%, Impression)",

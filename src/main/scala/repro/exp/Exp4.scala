@@ -1,7 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Metrics, TaskGen}
+import repro.core.{Metrics, SeriesSource, TaskGen}
+import repro.data.AdSchema
+import repro.sampling.{GSW, Priority, Uniform}
 
 /** Exp-IV / Figures 10–15: aggregation error, ARIMA forecast error, ARIMA
   * 90 % interval width, and (on a subset) LSTM forecast error, for every
@@ -34,16 +36,17 @@ object Exp4 {
     val rows = Seq.newBuilder[Row]
     for (paperRate <- paperRates) {
       val rate = cfg.scaledRate(paperRate)
-      val samplers = Seq[(String, SeriesMethod)](
-        "Uniform" -> Harness.uniformMethod(df, rate),
-        "Priority" -> Harness.priorityMethod(df, rate, rowsPerDay, measures = measures),
-        "Opt-GSW" -> Harness.optGswMethod(df, rate, measures = measures),
-        "C-GSW(arith)" -> Harness.cGswMethod(df, rate),
-        "C-GSW(geom)" -> Harness.gGswMethod(df, rate))
-      for {
+      val k = math.max(2, (rate * rowsPerDay).round.toInt)
+      val sources = Seq[(String, SeriesSource)](
+        "Uniform" -> Harness.store(df, Seq(Uniform(rate, AdSchema.Measures))),
+        "Priority" -> Harness.store(df, measures.map(m => Priority(k, m))),
+        "Opt-GSW" -> Harness.store(df, measures.map(m => GSW.optimal(1.0, m).atRate(df, rate))),
+        "C-GSW(arith)" -> Harness.store(df, Seq(GSW.arithmetic(1.0, AdSchema.Measures).atRate(df, rate))),
+        "C-GSW(geom)" -> Harness.store(df, Seq(GSW.geometric(1.0, AdSchema.Measures).atRate(df, rate))))
+      try for {
         meas <- measures
         sel <- selectivities
-        (name, method) <- samplers
+        (name, source) <- sources
       } {
         val tasks = gen.tasks(sel, cfg.tasksPerPoint, ts = 0, te = te,
           measures = Seq(meas), forePeriod = cfg.horizon)
@@ -53,15 +56,14 @@ object Exp4 {
         val evals = tasks.map { t =>
           val exact = cache.exact(t)
           val truth = cache.truth(t)
-          val est = method.estimate(t)
+          val est = source.series(t)
           val fc = Harness.arima.fitForecast(est, cfg.horizon, 0.9)
           val lstmErr =
             if (withLstm)
-              Metrics.relForecastError(
-                Harness.lstm.fitForecast(est, cfg.horizon, 0.9).point, truth)
+              Metrics.relAggError(Harness.lstm.fitForecast(est, cfg.horizon, 0.9).point, truth)
             else Double.NaN
           (Metrics.relAggError(est, exact),
-            Metrics.relForecastError(fc.point, truth),
+            Metrics.relAggError(fc.point, truth),
             Metrics.relIntervalWidth(fc, truth),
             lstmErr)
         }
@@ -70,8 +72,7 @@ object Exp4 {
           fcErr = mean(evals.map(_._2)),
           width = mean(evals.map(_._3)),
           lstmErr = if (withLstm) mean(evals.map(_._4)) else Double.NaN)
-      }
-      samplers.foreach(_._2.close())
+      } finally sources.foreach(_._2.close())
     }
 
     val out = rows.result()

@@ -1,9 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import repro.core.{Metrics, TaskGen}
+import repro.core.{Metrics, SeriesSource, TaskGen}
 import repro.data.AdSchema
+import repro.sampling.GSW
 
 /** Exp-V / Figure 16: space needed by per-measure Optimal GSW samples to
   * match the aggregation accuracy of ONE arithmetic compressed GSW sample.
@@ -33,51 +33,52 @@ object Exp5 {
         measures = Seq(m), forePeriod = cfg.horizon)
     }.toMap
 
-    def aggErrOf(method: SeriesMethod, m: String): Double =
-      mean(tasksOf(m).map(t => Metrics.relAggError(method.estimate(t), cache.exact(t))))
-    def fcErrOf(method: SeriesMethod, m: String): Double =
+    def aggErrOf(source: SeriesSource, m: String): Double =
+      mean(tasksOf(m).map(t => Metrics.relAggError(source.series(t), cache.exact(t))))
+    def fcErrOf(source: SeriesSource, m: String): Double =
       mean(tasksOf(m).map { t =>
-        Metrics.relForecastError(
-          Harness.arima.fitForecast(method.estimate(t), cfg.horizon, 0.9).point,
+        Metrics.relAggError(
+          Harness.arima.fitForecast(source.series(t), cfg.horizon, 0.9).point,
           cache.truth(t))
       })
 
     val rows = Seq(0.001, 0.005, 0.01).map { paperRate =>
       val rate = cfg.scaledRate(paperRate)
-      val cGsw = Harness.cGswMethod(df, rate)
-      val cErrs = AdSchema.Measures.map(m => m -> aggErrOf(cGsw, m)).toMap
-      val cFc = mean(AdSchema.Measures.map(m => fcErrOf(cGsw, m)))
+      val cGsw = Harness.store(df, Seq(GSW.arithmetic(1.0, AdSchema.Measures).atRate(df, rate)))
+      try {
+        val cErrs = AdSchema.Measures.map(m => m -> aggErrOf(cGsw, m)).toMap
+        val cFc = mean(AdSchema.Measures.map(m => fcErrOf(cGsw, m)))
 
-      // Per measure: find the Opt-GSW rate matching the compressed error.
-      val matched = AdSchema.Measures.map { m =>
-        var r = rate
-        var method = Harness.optGswMethod(df, r, measures = Seq(m))
-        var err = aggErrOf(method, m)
-        var steps = 0
-        while (steps < 2 && err > 0 && cErrs(m) > 0 &&
-               math.abs(math.log(err / cErrs(m))) > 0.05) {
-          method.close()
-          // err ∝ 1/sqrt(size): rescale the rate by (err/target)².
-          r = math.min(0.6, r * (err / cErrs(m)) * (err / cErrs(m)))
-          method = Harness.optGswMethod(df, r, measures = Seq(m))
-          err = aggErrOf(method, m)
-          steps += 1
+        // Per measure: find the Opt-GSW rate matching the compressed error.
+        val matched = AdSchema.Measures.map { m =>
+          def optAt(r: Double) = Harness.store(df, Seq(GSW.optimal(1.0, m).atRate(df, r)))
+          var r = rate
+          var opt = optAt(r)
+          try {
+            var err = aggErrOf(opt, m)
+            var steps = 0
+            while (steps < 2 && err > 0 && cErrs(m) > 0 &&
+                   math.abs(math.log(err / cErrs(m))) > 0.05) {
+              opt.close()
+              // err ∝ 1/sqrt(size): rescale the rate by (err/target)².
+              r = math.min(0.6, r * (err / cErrs(m)) * (err / cErrs(m)))
+              opt = optAt(r)
+              err = aggErrOf(opt, m)
+              steps += 1
+            }
+            (m, opt.spaceRows, fcErrOf(opt, m))
+          } finally opt.close()
         }
-        val out = (m, method.spaceRows, fcErrOf(method, m))
-        method.close()
-        out
-      }
-      val optTotal = matched.map(_._2).sum
-      val row = Row(paperRate,
-        cGswRows = cGsw.spaceRows,
-        cGswMaxErr = cErrs.values.max,
-        optRowsPerMeasure = matched.map(t => t._1 -> t._2).toMap,
-        optTotalRows = optTotal,
-        spaceRatio = optTotal.toDouble / cGsw.spaceRows,
-        cGswFcErr = cFc,
-        optFcErr = mean(matched.map(_._3)))
-      cGsw.close()
-      row
+        val optTotal = matched.map(_._2).sum
+        Row(paperRate,
+          cGswRows = cGsw.spaceRows,
+          cGswMaxErr = cErrs.values.max,
+          optRowsPerMeasure = matched.map(t => t._1 -> t._2).toMap,
+          optTotalRows = optTotal,
+          spaceRatio = optTotal.toDouble / cGsw.spaceRows,
+          cGswFcErr = cFc,
+          optFcErr = mean(matched.map(_._3)))
+      } finally cGsw.close()
     }
 
     val rendered = Harness.renderTable(

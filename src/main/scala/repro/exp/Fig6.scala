@@ -1,9 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core.{Metrics, TaskGen}
-import repro.sampling.Grouping
+import repro.sampling.{GSW, Grouping}
 
 /** Figure 6 (§4.2): for each of the three ways to split the four measures
   * into two pairs, the L1 distance between each measure and its group's
@@ -27,20 +26,19 @@ object Fig6 {
     val rate = cfg.scaledRate(0.001)
     def mean(xs: Seq[Double]) = xs.sum / xs.size
 
-    val rows = for {
-      grouping <- Groupings
-      group <- grouping
-      label = grouping.map(_.map(_.take(3)).mkString("+")).mkString(" / ")
-      weight = group.map(col).reduce(_ + _) / group.size
-      method = Harness.cGswMethod(df, rate, measures = group)
-      measure <- group
-    } yield {
-      val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
-        measures = Seq(measure), forePeriod = cfg.horizon)
-      val err = mean(tasks.map(t =>
-        Metrics.relAggError(method.estimate(t), cache.exact(t))))
-      val row = Row(label, measure, Grouping.l1ToWeight(df, measure, weight), err)
-      row
+    val rows = Groupings.flatMap { grouping =>
+      val label = grouping.map(_.map(_.take(3)).mkString("+")).mkString(" / ")
+      grouping.flatMap { group =>
+        val sampler = GSW.arithmetic(1.0, group).atRate(df, rate)
+        val store = Harness.store(df, Seq(sampler))
+        try group.map { measure =>
+          val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
+            measures = Seq(measure), forePeriod = cfg.horizon)
+          val err = mean(tasks.map(t =>
+            Metrics.relAggError(store.series(t), cache.exact(t))))
+          Row(label, measure, Grouping.l1ToWeight(df, measure, sampler.weight), err)
+        } finally store.close()
+      }
     }
 
     val rendered = Harness.renderTable(

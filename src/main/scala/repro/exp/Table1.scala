@@ -1,8 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{ForecastTask, TaskGen}
+import repro.core._
 import repro.data.AdSchema
+import repro.sampling.{GSW, Uniform}
 
 /** Exp-I / Table 1: average ARIMA forecast error per measure for
   * Full / PIM / Uniform / Opt-GSW / Arithmetic-compressed-GSW at the
@@ -31,24 +32,22 @@ object Table1 {
         t.copy(measure = AdSchema.Measures(i % AdSchema.Measures.size))
       }
 
-    val methods = Seq(
-      Harness.fullMethod(df),
-      Harness.pimMethod(df),
-      Harness.uniformMethod(df, rate),
-      Harness.optGswMethod(df, rate),
-      Harness.cGswMethod(df, rate))
+    val sources: Seq[(String, SeriesSource)] = Seq(
+      "Full" -> FullScan(df),
+      "PIM" -> new PIM(df, AdSchema.Measures, AdSchema.Dimensions),
+      "Uniform" -> Harness.store(df, Seq(Uniform(rate, AdSchema.Measures))),
+      "Opt-GSW" -> Harness.store(df, AdSchema.Measures.map(m => GSW.optimal(1.0, m).atRate(df, rate))),
+      "C-GSW" -> Harness.store(df, Seq(GSW.arithmetic(1.0, AdSchema.Measures).atRate(df, rate))))
 
-    // errs(method)(measure) = forecast errors across that measure's tasks
-    val errs = methods.map(m => m.name -> AdSchema.Measures.map(_ ->
+    // errs(source)(measure) = forecast errors across that measure's tasks
+    val errs = sources.map(_._1 -> AdSchema.Measures.map(_ ->
       scala.collection.mutable.ArrayBuffer.empty[Double]).toMap).toMap
-    for (task <- tasks) {
-      val exact = cache.exact(task)
-      val truth = cache.truth(task)
-      for (m <- methods) {
-        val e = Harness.evaluate(m, task, exact, truth, Harness.arima)
-        errs(m.name)(task.measure) += e.fcErr
+    try {
+      for (task <- tasks; (name, source) <- sources) {
+        val fc = Harness.arima.fitForecast(source.series(task), task.forePeriod, 0.9)
+        errs(name)(task.measure) += Metrics.relAggError(fc.point, cache.truth(task))
       }
-    }
+    } finally sources.foreach(_._2.close())
 
     def mean(xs: Seq[Double]): Double = if (xs.isEmpty) Double.NaN else xs.sum / xs.size
     val rows = AdSchema.Measures.map { meas =>

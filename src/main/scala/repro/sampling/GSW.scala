@@ -47,11 +47,14 @@ final case class GSW(delta: Double, weight: Column, weightName: String,
       .withColumn(GSW.WeightCol, weight.cast("double"))
       .withColumn(GSW.DrawCol, rand(seed))
       .filter(col(GSW.DrawCol) <= col(GSW.WeightCol) / (col(GSW.WeightCol) + delta))
-    ms.foldLeft(drawn) { (acc, m) =>
-      acc.withColumn(Sampler.estCol(m),
-        col(m) * (col(GSW.WeightCol) + delta) / col(GSW.WeightCol))
-    }
+    GSW.calibrated(drawn, delta, ms)
   }
+
+  /** The same sampler with Δ chosen so the sample is ≈ `rate × |df|` rows
+    * (see [[GSW.deltaForRate]]), e.g. `GSW.arithmetic(1.0, ms).atRate(df, r)`.
+    */
+  def atRate(df: DataFrame, rate: Double): GSW =
+    copy(delta = GSW.deltaForRate(df, weight, rate))
 }
 
 object GSW {
@@ -61,6 +64,14 @@ object GSW {
 
   /** Stored uniform draw `p_i` of each sampled row (for Δ→Δ′ maintenance). */
   val DrawCol = "gsw_p"
+
+  /** Adds the calibrated column `m̂_i = m_i (Δ + w_i) / w_i` of each of `ms`
+    * to sampled rows that carry their weight in [[WeightCol]].
+    */
+  private[sampling] def calibrated(sample: DataFrame, delta: Double, ms: Seq[String]): DataFrame =
+    ms.foldLeft(sample) { (acc, m) =>
+      acc.withColumn(Sampler.estCol(m), col(m) * (col(WeightCol) + delta) / col(WeightCol))
+    }
 
   /** Optimal GSW sampler (§4.1.2): weights equal the measure itself, giving
     * the (1,1)-consistent bound of Corollary 4. One sample per measure.
@@ -101,20 +112,12 @@ object GSW {
     * `Δ ← Δ · E[|S_Δ|]/target`, each step one Spark aggregation. Three
     * steps land well within a few percent of the target for our data.
     */
-  def deltaForRate(df: DataFrame, weight: Column, rate: Double,
-                   refineSteps: Int = 3): Double = {
+  def deltaForRate(df: DataFrame, weight: Column, rate: Double): Double = {
     require(rate > 0 && rate < 1, s"deltaForRate: rate=$rate out of (0,1)")
     val agg = df.select(sum(weight.cast("double")) as "w", count(lit(1)) as "n").head
-    val totalW = agg.getDouble(0)
-    val n = agg.getLong(1)
-    val target = rate * n
-    var delta = totalW / target
-    var step = 0
-    while (step < refineSteps) {
-      val size = expectedSize(df, weight, delta)
-      delta = delta * size / target
-      step += 1
+    val target = rate * agg.getLong(1)
+    (1 to 3).foldLeft(agg.getDouble(0) / target) { (delta, _) =>
+      delta * expectedSize(df, weight, delta) / target
     }
-    delta
   }
 }

@@ -28,10 +28,7 @@ object IncrementalGSW {
   def raise(sample: DataFrame, newDelta: Double, ms: Seq[String]): DataFrame = {
     val kept = sample.filter(
       (lit(1.0) / col(GSW.DrawCol) - 1.0) * col(GSW.WeightCol) >= newDelta)
-    ms.foldLeft(kept) { (acc, m) =>
-      acc.withColumn(Sampler.estCol(m),
-        col(m) * (col(GSW.WeightCol) + newDelta) / col(GSW.WeightCol))
-    }
+    GSW.calibrated(kept, newDelta, ms)
   }
 
   /** Extend a GSW sample over `newRows` (rows not yet covered), raising the

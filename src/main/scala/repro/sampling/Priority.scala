@@ -3,6 +3,7 @@ package repro.sampling
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.data.AdSchema.TimeCol
 
 /** Priority sampling (Duffield–Lund–Thorup [22]) — the theoretically
   * optimal weighted baseline the paper compares GSW against.
@@ -21,11 +22,9 @@ import org.apache.spark.sql.functions._
   * @param k       sample size per time partition
   * @param measure the measure the priorities are drawn from (and the only
   *                one this sample can estimate)
-  * @param timeCol time-partition column (a sample per distinct value)
   * @param seed    deterministic seed for the uniform draws
   */
-final case class Priority(k: Int, measure: String, timeCol: String = "t",
-                          seed: Long = 104723) extends Sampler {
+final case class Priority(k: Int, measure: String, seed: Long = 104723) extends Sampler {
   require(k >= 2, s"Priority: k=$k must be >= 2 for the estimator to exist")
 
   override def name: String = s"Priority($measure, k=$k)"
@@ -35,14 +34,14 @@ final case class Priority(k: Int, measure: String, timeCol: String = "t",
     val prioritized = df
       // rand() ∈ [0,1); clamp away from 0 so q = m/u is finite.
       .withColumn("pri_q", col(measure) / greatest(rand(seed), lit(1e-12)))
-    val byPriority = Window.partitionBy(timeCol).orderBy(desc("pri_q"))
+    val byPriority = Window.partitionBy(TimeCol).orderBy(desc("pri_q"))
     val ranked = prioritized.withColumn("pri_rank", row_number().over(byPriority))
     // τ per day = the (k+1)-th priority; days with ≤ k rows keep everything
     // and are estimated exactly (τ treated as 0).
     val tau = ranked.filter(col("pri_rank") === k + 1)
-      .select(col(timeCol), col("pri_q") as "pri_tau")
+      .select(col(TimeCol), col("pri_q") as "pri_tau")
     ranked.filter(col("pri_rank") <= k)
-      .join(tau, Seq(timeCol), "left")
+      .join(tau, Seq(TimeCol), "left")
       .withColumn(Sampler.estCol(measure),
         greatest(col(measure).cast("double"), coalesce(col("pri_tau"), lit(0.0))))
       .drop("pri_q", "pri_rank", "pri_tau")

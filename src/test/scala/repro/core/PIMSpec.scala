@@ -115,6 +115,17 @@ class PIMSpec extends SparkFunSpec {
     assert(meanErr > 0.05, s"expected visible PIM bias, got $meanErr")
   }
 
+  test("a quoted literal on a numeric dimension compares as a number, as in Catalyst") {
+    val pim = new PIM(ad, Seq("impression"), Seq("city"))
+    for (pred <- Seq(Pred("city", "<=", "5", isString = false),
+                     Pred("city", "<=", "5", isString = true))) {
+      val task = ForecastTask("impression", "ad", Constraint(Seq(pred)), 0, 19)
+      // Single-dimension constraint ⇒ PIM is exact.
+      val err = Metrics.relAggError(pim.estimateSeries(task), Estimator.exactSeries(ad, task))
+      assert(err < 1e-9, s"PIM disagrees with Catalyst on ${pred.sql}: relative error $err")
+    }
+  }
+
   test("cubeRows reports the marginal cube's size") {
     val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
     // 3 days × (2 a-values + 2 b-values) + 3 day totals = 15.

@@ -33,6 +33,31 @@ class PipelineSpec extends SparkFunSpec {
     assert(e.getMessage.contains("nope"))
   }
 
+  test("SampleStore as a source answers each measure from the layer that carries it") {
+    val store = new SampleStore
+    val ms = Seq("impression", "favorite")
+    val layers = ms.map(m => m -> store.add(s"opt-$m",
+      GSW.optimal(1.0, m, seed = 3006).atRate(ad, 0.1), ad)).toMap
+    for (m <- ms) {
+      val task = mkTask().copy(measure = m)
+      assert(store.series(task).sameElements(Estimator.estimateSeries(layers(m).df, task)))
+    }
+    assert(store.spaceRows == layers.values.map(_.rows).sum)
+    store.close()
+    assert(store.all.isEmpty)
+  }
+
+  test("SampleStore as a source names the measure and the layers when none carries it") {
+    val store = new SampleStore
+    val delta = GSW.deltaForRate(ad, col("impression"), 0.05)
+    store.add("opt-imp", GSW.optimal(delta, "impression", seed = 3007), ad)
+    val e = intercept[NoSuchElementException] {
+      store.series(mkTask().copy(measure = "cart"))
+    }
+    assert(e.getMessage.contains("cart") && e.getMessage.contains("opt-imp"))
+    store.clear()
+  }
+
   test("runOnFull produces a 7-point forecast from exact aggregations") {
     val res = FlashP.runOnFull(mkTask(), ad)
     assert(res.series.length == 80)
@@ -71,7 +96,7 @@ class PipelineSpec extends SparkFunSpec {
 
   test("runOnPim completes and tracks the trend roughly") {
     val pim = new PIM(ad, Seq("impression"), repro.data.AdSchema.Dimensions)
-    val res = FlashP.runOnPim(mkTask(), pim)
+    val res = FlashP.run(mkTask(), pim)
     val exact = Estimator.exactSeries(ad, mkTask())
     // Single-dimension constraint ⇒ PIM is exact here.
     assert(Metrics.relAggError(res.series, exact) < 1e-9)
@@ -120,7 +145,7 @@ class PipelineSpec extends SparkFunSpec {
     val task = mkTask()
     val res = FlashP.runOnFull(task, ad)
     val truth = Estimator.futureTruth(ad, task)
-    val err = Metrics.relForecastError(res.forecast.point, truth)
+    val err = Metrics.relAggError(res.forecast.point, truth)
     assert(err < 0.5, s"forecast error $err vs truth ${truth.toSeq}")
   }
 

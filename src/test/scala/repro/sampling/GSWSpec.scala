@@ -215,6 +215,23 @@ class GSWSpec extends SparkFunSpec {
     assert(bad.count() == 0)
   }
 
+  test("atRate sizes each factory's own weight: same Δ and sample as the weight built by hand") {
+    val ms = Seq("impression", "click")
+    val rate = 0.05
+    val byHand = Seq(
+      (GSW.optimal(1.0, "impression", seed = 91), col("impression")),
+      (GSW.arithmetic(1.0, ms, seed = 92), ms.map(col).reduce(_ + _) / ms.size),
+      (GSW.geometric(1.0, ms, seed = 93), exp(ms.map(m => log(col(m))).reduce(_ + _) / ms.size)))
+    for ((factory, handWeight) <- byHand) {
+      val sized = factory.atRate(ad, rate)
+      assert(sized.delta == GSW.deltaForRate(ad, factory.weight, rate))
+      val old = factory.copy(delta = GSW.deltaForRate(ad, handWeight, rate))
+      val cols = GSW.DrawCol +: factory.ms.map(Sampler.estCol)
+      def rowsOf(g: GSW) = g.sample(ad).select(cols.map(col): _*).collect().map(_.toSeq).toSeq
+      assert(rowsOf(sized) == rowsOf(old), s"${factory.weightName}: sample differs")
+    }
+  }
+
   test("compressed sample carries est columns for every grouped measure") {
     val ms = repro.data.AdSchema.Measures
     val s = GSW.arithmetic(300, ms).sample(ad)
